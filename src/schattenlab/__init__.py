@@ -5,9 +5,9 @@ Finite-matrix constructions around the Schatten classes: row-norm
 complemented projection, rank lower bounds for well-spread matrix
 families, and constructive paving with certified contraction.
 
-``kernel_backend`` names the enumeration backend selected at import:
-``"cython"`` for the compiled extension, ``"python"`` for the NumPy
-fallback (forced by ``SCHATTENLAB_PURE_PYTHON=1``).
+``kernel_backend`` names the enumeration kernels in use; it is always
+``"python"`` (the NumPy kernels in ``_kernels_py``) and is recorded in
+benchmark provenance.
 """
 
 from ._backend import BACKEND as kernel_backend

@@ -1,26 +1,14 @@
-"""Kernel backend selection.
+"""The enumeration kernels, as the rest of the package reaches them.
 
-Imports the compiled extension when present, otherwise the NumPy
-fallback.  Set ``SCHATTENLAB_PURE_PYTHON=1`` to force the fallback (used
-by the benchmark and for debugging).
+``_kernels_py`` is the only kernel implementation.  This module stays as
+the single import point: library modules call ``kernels.<name>`` through
+it, so a tracer that replaces attributes of ``schattenlab._backend.kernels``
+(as ``perfbench/spans.py`` does) sees every kernel call, and
+``BACKEND`` feeds ``schattenlab.kernel_backend`` in run provenance.
 """
 
-from __future__ import annotations
+from . import _kernels_py as kernels
 
-import os
-
-if os.environ.get("SCHATTENLAB_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels
-
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["kernels", "BACKEND"]

@@ -1,15 +1,14 @@
-"""Pure-NumPy enumeration kernels.
+"""NumPy enumeration kernels: the package's only kernel implementation.
 
-Fallback used when the compiled extension is unavailable (see
-``_backend``).  Same call signatures and semantics as ``_kernels``:
-enumeration orders are identical, so results agree up to last-ulp
-summation noise.
+Library modules reach them through ``_backend.kernels``.  This module
+owns the sign-enumeration convention (:func:`sign_rows`) and the batched
+Schatten p-power (:func:`schatten_ppower_batch`).
 
-Both backends compute Schatten p-powers from the eigenvalues of the
-smaller Gram matrix, which resolves singular values only down to about
-``sqrt(eps) * s_max``; for p < 2 that floor is amplified by the
-fractional power.  The SVD-based functions in ``linalg`` are the
-accurate path when single-matrix norms need full precision.
+The p-powers come from the eigenvalues of the smaller Gram matrix,
+which resolves singular values only down to about ``sqrt(eps) * s_max``;
+for p < 2 that floor is amplified by the fractional power.  The
+SVD-based functions in ``linalg`` are the accurate path when
+single-matrix norms need full precision.
 """
 
 from __future__ import annotations
@@ -46,6 +45,20 @@ def schatten_ppower_batch(mats, p: float) -> np.ndarray:
     return out
 
 
+def sign_rows(lo: int, hi: int, bits: int) -> np.ndarray:
+    """Sign rows of the patterns with indices ``lo .. hi-1``, shape ``(hi-lo, bits)``.
+
+    This is the canonical enumeration of sign patterns, little-endian in
+    the pattern index: a set bit ``j`` makes entry ``j`` -1 and a clear
+    bit makes it +1, so index 0 is the all-plus pattern.  A sign
+    matrix of shape ``(rows, cols)`` is the row reshaped, so bit
+    ``r*cols + c`` controls entry ``(r, c)``.
+    """
+    idx = np.arange(lo, hi, dtype=np.int64)
+    shifts = np.arange(bits, dtype=np.int64)
+    return 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
+
+
 def _check_bits(bits: int) -> None:
     if bits > MAX_ENUM_BITS:
         raise ValueError(f"exhaustive enumeration over 2^{bits} items refused (cap 2^{MAX_ENUM_BITS})")
@@ -54,36 +67,34 @@ def _check_bits(bits: int) -> None:
 def sign_enum_ppower_sum(a, p: float) -> float:
     """Sum of ``||R o A||_p^p`` over all sign matrices R of A's shape.
 
-    Patterns are indexed little-endian: bit ``r*cols + c`` of the pattern
-    index flips entry ``(r, c)``; index 0 is the all-plus pattern.
+    Patterns are taken in :func:`sign_rows` order.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     rows, cols = a.shape
     bits = rows * cols
     _check_bits(bits)
     total = 1 << bits
-    shifts = np.arange(bits, dtype=np.int64)
     parts = []
     for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        signs = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
+        signs = sign_rows(lo, min(lo + _CHUNK, total), bits)
         mats = signs.reshape(-1, rows, cols) * a
         parts.append(float(np.sum(_ppower_chunk(mats, p))))
     return math.fsum(parts)
 
 
 def sign_vector_enum_ppower_sum(ts, p: float) -> float:
-    """Sum of ``||sum_i e_i T_i||_p^p`` over all sign vectors e in {+-1}^k."""
+    """Sum of ``||sum_i e_i T_i||_p^p`` over all sign vectors e in {+-1}^k.
+
+    Sign vectors are taken in :func:`sign_rows` order.
+    """
     ts = np.ascontiguousarray(ts, dtype=np.complex128)
     k = ts.shape[0]
     _check_bits(k)
     total = 1 << k
-    shifts = np.arange(k, dtype=np.int64)
     flat = ts.reshape(k, -1)
     parts = []
     for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        eps = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
+        eps = sign_rows(lo, min(lo + _CHUNK, total), k)
         mats = (eps @ flat).reshape(-1, ts.shape[1], ts.shape[2])
         parts.append(float(np.sum(_ppower_chunk(mats, p))))
     return math.fsum(parts)

@@ -187,8 +187,6 @@ def _cmd_embedding(args) -> list[dict]:
                 instances.append(emb.EmbeddingInstance(ts, p))
                 seeds.append(str(spec.seed))
     for seed, inst in zip(seeds, instances):
-        ave = emb.sign_average_sum(inst.ts, inst.p)
-        slack = emb.khintchine_easy_slack(inst.ts, inst.p)
         report = emb.tight_embedding_audit(inst)
         rows.append(
             {
@@ -200,8 +198,8 @@ def _cmd_embedding(args) -> list[dict]:
                 "bound": report.bound,
                 "rank": report.d,
                 "holds": report.holds,
-                "sign_average": ave,
-                "khintchine_slack": slack,
+                "sign_average": report.sign_average,
+                "khintchine_slack": report.khintchine_slack,
             }
         )
     return rows

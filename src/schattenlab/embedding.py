@@ -54,6 +54,12 @@ class EmbeddingInstance:
 
 @dataclass
 class RankBoundReport:
+    """Rank bound for ``sum A_i``.
+
+    ``sign_average`` and ``khintchine_slack`` are filled in by
+    :func:`tight_embedding_audit` (None from :func:`psd_rank_bound`).
+    """
+
     k: int
     n: int
     d: int
@@ -61,6 +67,8 @@ class RankBoundReport:
     bound: float
     eigenvalues: np.ndarray = field(repr=False)
     holds: bool = True
+    sign_average: float | None = None
+    khintchine_slack: float | None = None
 
 
 def sign_average_sum(ts, p, mode: str = "exhaustive", trials: int = 10_000, spec=None) -> float:
@@ -94,7 +102,11 @@ def khintchine_easy_slack(ts, p) -> float:
     p = float(p)
     if p == 2.0:
         return 0.0
-    ave = sign_average_sum(stack, p)
+    return _khintchine_slack(stack, p, sign_average_sum(stack, p))
+
+
+def _khintchine_slack(stack: np.ndarray, p: float, ave: float) -> float:
+    """:func:`khintchine_easy_slack` from an already computed sign average (p != 2)."""
     gram = np.einsum("kij,kil->jl", stack.conj(), stack)
     trace_power = psd_trace_power((gram + gram.conj().T) / 2.0, p / 2.0)
     return ave - trace_power if p > 2.0 else trace_power - ave
@@ -158,9 +170,10 @@ def tight_embedding_audit(instance: EmbeddingInstance) -> RankBoundReport:
     Checks the norm preconditions (Schatten >= 1 each for p > 2, operator
     <= 1 each for p < 2), computes the exhaustive sign average, verifies
     the easy Khintchine direction, and reports the rank bound with
-    ``A_i = T_i* T_i``.  The dimension n must satisfy the bound whenever
-    the preconditions hold.  Callers must pre-normalize general
-    isomorphisms so the unit-norm preconditions apply.
+    ``A_i = T_i* T_i`` together with the sign average and the slack.  The
+    dimension n must satisfy the bound whenever the preconditions hold.
+    Callers must pre-normalize general isomorphisms so the unit-norm
+    preconditions apply.
     """
     stack = instance.ts
     p = instance.p
@@ -185,7 +198,7 @@ def tight_embedding_audit(instance: EmbeddingInstance) -> RankBoundReport:
         if ave < inv * k * (1.0 - 1e-12):
             raise ValueError(f"sign average {ave} below constant*k = {inv * k}")
         constant = inv
-    slack = khintchine_easy_slack(stack, p)
+    slack = _khintchine_slack(stack, p, ave)
     if slack < -_PRE_TOL:
         raise ArithmeticError(f"easy Khintchine direction violated (slack {slack:.3e})")
     report = psd_rank_bound(stack.conj().transpose(0, 2, 1) @ stack, p, constant=constant)
@@ -193,6 +206,8 @@ def tight_embedding_audit(instance: EmbeddingInstance) -> RankBoundReport:
         raise ArithmeticError(
             f"dimension bound violated: n={n} < bound={report.bound!r} (this is a bug)"
         )
+    report.sign_average = ave
+    report.khintchine_slack = slack
     return report
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import kernels
 from .linalg import (
     RandomSpec,
     as_matrix,
@@ -105,14 +106,13 @@ def blockdiag_schatten_norm(d: BlockDiag, p) -> float:
     Equals ``(sum_i ||block_i||_p^p)^(1/p)`` for finite p and the max of
     the block operator norms at ``p = inf``.
     """
-    g = d.blocks @ d.blocks.conj().transpose(0, 2, 1)
-    w = np.clip(np.linalg.eigvalsh(g), 0.0, None)
     if math.isinf(p):
-        return float(np.sqrt(np.max(w)))
+        w = np.linalg.eigvalsh(d.blocks @ d.blocks.conj().transpose(0, 2, 1))
+        return float(np.sqrt(max(np.max(w), 0.0)))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"need p >= 1, got {p}")
-    return float(np.sum(w ** (p / 2.0)) ** (1.0 / p))
+    return float(np.sum(kernels.schatten_ppower_batch(d.blocks, p)) ** (1.0 / p))
 
 
 def _require_lift_shape(d: BlockDiag) -> int:

@@ -203,6 +203,15 @@ class TestTightEmbeddingAudit:
             report = tight_embedding_audit(EmbeddingInstance(ts, p))
             assert report.holds
 
+    def test_report_carries_sign_average_and_slack(self, rng):
+        for p in (1.5, 4.0):
+            ts = np.stack([complex_gaussian(rng, 3, 3) for _ in range(4)])
+            for i in range(4):
+                ts[i] /= schatten_norm(ts[i], p)
+            report = tight_embedding_audit(EmbeddingInstance(ts, p))
+            assert report.sign_average == sign_average_sum(ts, p)
+            assert report.khintchine_slack == khintchine_easy_slack(ts, p)
+
     def test_norm_precondition_enforced(self, rng):
         ts = np.stack([0.5 * basis_matrix(3, 3, i, i) for i in range(3)])
         with pytest.raises(ValueError, match="Schatten"):

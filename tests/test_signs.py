@@ -174,6 +174,17 @@ class TestRatioReport:
         with pytest.raises(ValueError):
             rademacher_z_tilde_ratio(complex_gaussian(rng, 2, 2), 2.0)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 7.0])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2)], ids=["1x1", "1x3", "2x2"])
+    def test_one_sided_check_is_scale_free(self, rng, shape, p, scale):
+        # 1x1 inputs meet the one-sided bound with equality, so a check with
+        # an absolute slack raised on them once the scale swamped the slack
+        for _ in range(20):
+            a = complex_gaussian(rng, *shape)
+            unit = rademacher_z_tilde_ratio(a, p).ratio
+            assert rademacher_z_tilde_ratio(scale * a, p).ratio == pytest.approx(unit, rel=1e-12)
+
     def test_easy_direction_on_exhaustive_instances(self, rng):
         for p in (3.0, 4.0):
             for _ in range(5):
