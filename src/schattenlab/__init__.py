@@ -45,6 +45,7 @@ from .paving import (
     cross_part,
     find_balanced_split,
     pave,
+    pave_levels,
     paving_norm,
     paving_split,
 )

@@ -4,11 +4,21 @@ Library modules reach them through ``_backend.kernels``.  This module
 owns the sign-enumeration convention (:func:`sign_rows`) and the batched
 Schatten p-power (:func:`schatten_ppower_batch`).
 
-The p-powers come from the eigenvalues of the smaller Gram matrix,
+At p = 2 the p-power is the sum of squared entry moduli, and at p = 4
+it is the squared Frobenius norm of the smaller Gram matrix ``G``
+(``tr G^2 = sum s_i^4``); both are sums of nonnegative terms and need
+no eigensolver.  Other p-powers come from the eigenvalues of ``G``,
 which resolves singular values only down to about ``sqrt(eps) * s_max``;
 for p < 2 that floor is amplified by the fractional power.  The
 SVD-based functions in ``linalg`` are the accurate path when
 single-matrix norms need full precision.
+
+A cross part ``A_sigma`` keeps the entries between the halves ``P`` and
+``Q`` of a balanced bipartition; permuted to ``(P, Q)`` order it is
+block anti-diagonal, so ``||A_sigma||_p^p = ||A[P,Q]||_p^p +
+||A[Q,P]||_p^p`` for every square A.  :func:`cross_blocks` gathers those
+two m x m blocks, and the subset scans evaluate them instead of the
+2m x 2m cross part.
 """
 
 from __future__ import annotations
@@ -24,13 +34,27 @@ MAX_ENUM_BITS = 26
 _CHUNK = 8192
 
 
+def _sum_squares(mats: np.ndarray) -> np.ndarray:
+    """Sum of squared entry moduli of each complex matrix in a stack.
+
+    Reads the stack as float64 pairs, so its last axis must be contiguous;
+    every caller passes a freshly built stack.
+    """
+    flat = mats.view(np.float64)
+    return np.einsum("...ij,...ij->...", flat, flat)
+
+
 def _ppower_chunk(mats: np.ndarray, p: float) -> np.ndarray:
     """Schatten p-norm to the p-th power for a stack of matrices."""
+    if p == 2.0:
+        return _sum_squares(mats)
     m, n = mats.shape[-2:]
     if m <= n:
         g = mats @ mats.conj().swapaxes(-1, -2)
     else:
         g = mats.conj().swapaxes(-1, -2) @ mats
+    if p == 4.0:
+        return _sum_squares(g)
     w = np.linalg.eigvalsh(g)
     np.clip(w, 0.0, None, out=w)
     return np.sum(w ** (p / 2.0), axis=-1)
@@ -100,12 +124,30 @@ def sign_vector_enum_ppower_sum(ts, p: float) -> float:
     return math.fsum(parts)
 
 
+def cross_blocks(a: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The two off-diagonal blocks of each balanced bipartition's cross part.
+
+    ``side`` is an ``(N, 2m)`` boolean array whose rows each mark one half
+    ``P`` with m True entries; ``Q`` is the rest.  Returns the
+    ``(N, 2, m, m)`` stack of ``A[P, Q]`` and ``A[Q, P]`` (indices in
+    increasing order), whose p-powers add up to ``||A_sigma||_p^p``.
+    """
+    count, dim = side.shape
+    m = dim // 2
+    half = np.nonzero(side)[1].reshape(count, m)
+    rest = np.nonzero(~side)[1].reshape(count, m)
+    return np.stack(
+        (a[half[:, :, None], rest[:, None, :]], a[rest[:, :, None], half[:, None, :]]), axis=1
+    )
+
+
 def balanced_subset_scan(a, p: float):
     """Scan all balanced bipartitions of ``{0..2m-1}`` (half containing 0).
 
     For every size-``m`` subset ``s`` containing index 0 (lexicographic
     order), evaluates ``||A_s||_p^p`` where ``A_s`` keeps exactly the
-    entries crossing the bipartition.  Complement symmetry makes this half
+    entries crossing the bipartition, as the sum over its two
+    :func:`cross_blocks`.  Complement symmetry makes this half
     enumeration equivalent to the full one for both max and mean.
 
     Returns ``(best_sigma, best_ppower, mean_ppower, count)``.
@@ -128,8 +170,7 @@ def balanced_subset_scan(a, p: float):
         side[:, 0] = True
         rows = np.repeat(np.arange(len(block)), m - 1)
         side[rows, np.asarray(block, dtype=np.int64).ravel()] = True
-        cross = side[:, :, None] ^ side[:, None, :]
-        pp = _ppower_chunk(np.where(cross, a, 0.0), p)
+        pp = np.sum(_ppower_chunk(cross_blocks(a, side), p), axis=-1)
         parts.append(float(np.sum(pp)))
         j = int(np.argmax(pp))
         if pp[j] > best_pp:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -243,14 +244,14 @@ def _cmd_paving_decay(args) -> list[dict]:
     spec = linalg.RandomSpec(args.seed)
     rows = []
     for p in args.p:
-        for depth in range(1, args.depth + 1):
-            result = paving.pave(a, p, depth=depth, strategy=args.strategy, spec=spec)
+        levels = paving.pave_levels(a, p, args.depth, strategy=args.strategy, spec=spec)
+        for result in itertools.islice(levels, 1, None):
             cert = result.certificate
             rows.append(
                 {
                     "seed": seed,
                     "p": p,
-                    "depth": depth,
+                    "depth": result.partition.depth,
                     "parts": len(result.partition.parts),
                     "paved_norm": cert.paved_norm,
                     "guaranteed_bound": cert.guaranteed_bound,

@@ -13,6 +13,7 @@ geometric rate with a certificate at every depth.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +31,10 @@ AVERAGE_M_CAP = 6
 #: Random strategy draws at most ``64 * m`` samples before falling back.
 RANDOM_RETRY_FACTOR = 64
 
-_SLACK_TOL = 1e-9
+#: Relative slack on every certified comparison; the compared quantities
+#: scale like ``|A|^p`` (or ``|A|`` for norms), so an absolute slack would
+#: make the checks vacuous on small inputs and spurious on large ones.
+_SLACK_REL = 1e-12
 
 
 def _check_even_square(a: np.ndarray) -> int:
@@ -125,7 +129,7 @@ def balanced_subset_average(a, p) -> BalancedAverageReport:
     total = schatten_norm(a, p) ** p
     lb2 = 2.0**-p * total
     sharp = (m / (4.0 * m - 2.0)) ** (p / 2.0) * total
-    if mean < lb2 - _SLACK_TOL or mean < sharp - _SLACK_TOL:
+    if mean < max(lb2, sharp) * (1.0 - _SLACK_REL):
         raise ArithmeticError(
             f"balanced average {mean!r} fell below its guaranteed bounds "
             f"({lb2!r}, {sharp!r}); this is a bug"
@@ -150,12 +154,15 @@ class SplitSearchResult:
         }
 
 
-def _cross_ppower(a: np.ndarray, sigma: np.ndarray, p: float) -> float:
-    return float(kernels.schatten_ppower_batch(cross_part(a, sigma)[None], p)[0])
+def _cross_ppowers(a: np.ndarray, side: np.ndarray, p: float) -> np.ndarray:
+    """``||A_sigma||_p^p`` for each row of an ``(N, 2m)`` boolean side stack."""
+    blocks = kernels.cross_blocks(a, side)
+    m = blocks.shape[-1]
+    return kernels.schatten_ppower_batch(blocks.reshape(-1, m, m), p).reshape(-1, 2).sum(axis=1)
 
 
 def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | None = None) -> SplitSearchResult:
-    """A balanced sigma with ``||A_sigma||_p^p >= 2^-p ||A||_p^p - 1e-9``.
+    """A balanced sigma with ``||A_sigma||_p^p >= 2^-p ||A||_p^p (1 - 1e-12)``.
 
     Strategies: ``exhaustive`` returns the maximizer (m <= 8);
     ``random`` samples seeded balanced subsets until one clears the bar;
@@ -171,7 +178,7 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
     m = _check_even_square(a)
     _check_zero_diagonal(a)
     dim = 2 * m
-    bar = 2.0**-p * schatten_norm(a, p) ** p - _SLACK_TOL
+    bar = 2.0**-p * schatten_norm(a, p) ** p * (1.0 - _SLACK_REL)
 
     if strategy == "exhaustive":
         if m > EXHAUSTIVE_M_CAP:
@@ -191,17 +198,18 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
 
     if strategy == "random":
         for sample in range(1, budget + 1):
-            sigma = np.sort(rng.permutation(dim)[:m])
-            power = _cross_ppower(a, sigma, p)
+            side = np.zeros(dim, dtype=bool)
+            side[rng.permutation(dim)[:m]] = True
+            power = float(_cross_ppowers(a, side[None], p)[0])
             if power >= bar:
-                return SplitSearchResult(sigma, power, "random", sample)
+                return SplitSearchResult(np.flatnonzero(side), power, "random", sample)
         return _fallback(a, p, m, bar, "random", budget)
 
     # greedy: steepest single-swap ascent from a random balanced start
     samples = 0
     side = np.zeros(dim, dtype=bool)
     side[rng.permutation(dim)[:m]] = True
-    power = _cross_ppower(a, np.flatnonzero(side), p)
+    power = float(_cross_ppowers(a, side[None], p)[0])
     improved = True
     while improved and samples < budget:
         improved = False
@@ -212,9 +220,7 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
                 trial = side.copy()
                 trial[i], trial[j] = False, True
                 cands.append(trial)
-        stack = np.stack(cands)
-        cross = stack[:, :, None] ^ stack[:, None, :]
-        powers = kernels.schatten_ppower_batch(np.where(cross, a, 0.0), p)
+        powers = _cross_ppowers(a, np.stack(cands), p)
         samples += len(cands)
         j = int(np.argmax(powers))
         if powers[j] > power:
@@ -252,7 +258,7 @@ class PavingCertificate:
     """Achieved paved norm against the guaranteed geometric bound.
 
     ``guaranteed_bound = (1 - 2^-p)^(depth/p) * original_norm`` and the
-    achieved ``paved_norm`` never exceeds it (up to 1e-9).
+    achieved ``paved_norm`` never exceeds it (up to a relative 1e-12).
     ``level_splits`` records, per level, the split of every part as
     ``(part indices, chosen half)`` in global 0-based coordinates, enough
     to replay the construction.
@@ -324,21 +330,7 @@ def _split_block(a, part: np.ndarray, p: float, strategy: str, spec: RandomSpec 
     return first, second
 
 
-def pave(
-    a,
-    p,
-    depth: int | None = None,
-    epsilon: float | None = None,
-    strategy: str = "exhaustive",
-    spec: RandomSpec | None = None,
-) -> PavingResult:
-    """Recursive balanced halving of a zero-diagonal matrix, with certificate.
-
-    Exactly one of ``depth`` and ``epsilon`` must be given.  ``epsilon``
-    picks the depth ``ceil(log eps / log (1 - 2^-p)^(1/p))``, capped at
-    the depth where every part is a singleton (the paved matrix is then
-    exactly zero).  The returned partition has at most ``2^depth`` parts.
-    """
+def _check_pave_input(a, p) -> tuple[np.ndarray, float]:
     a = as_matrix(a)
     p = float(p)
     if p < 2.0 or math.isinf(p):
@@ -346,20 +338,35 @@ def pave(
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got {a.shape}")
     _check_zero_diagonal(a)
-    if (depth is None) == (epsilon is None):
-        raise ValueError("give exactly one of depth or epsilon")
-    dim = a.shape[0]
-    singleton_depth = max(1, math.ceil(math.log2(dim))) if dim > 1 else 0
-    if epsilon is not None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-        shrink = math.log(1.0 - 2.0**-p) / p
-        depth = min(math.ceil(math.log(epsilon) / shrink), singleton_depth)
+    return a, p
+
+
+def pave_levels(
+    a,
+    p,
+    depth: int,
+    strategy: str = "exhaustive",
+    spec: RandomSpec | None = None,
+) -> Iterator[PavingResult]:
+    """Certified results of one recursive halving at depths ``0 .. depth``.
+
+    The result at depth d equals ``pave(a, p, depth=d, ...)``: level d
+    splits every part of level d - 1 with the same search and random
+    substream, so a decay curve costs one descent.  Each certificate is
+    checked as it is yielded.  Inputs are validated on the call, before
+    the first result is requested.
+    """
+    a, p = _check_pave_input(a, p)
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
+    return _descend(a, p, depth, strategy, spec)
 
-    parts = [np.arange(dim, dtype=np.int64)]
+
+def _descend(a, p: float, depth: int, strategy: str, spec: RandomSpec | None) -> Iterator[PavingResult]:
+    original = schatten_norm(a, p)
+    parts = [np.arange(a.shape[0], dtype=np.int64)]
     level_splits: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    yield _certified(a, p, parts, original, level_splits)
     for level in range(depth):
         next_parts: list[np.ndarray] = []
         records: list[tuple[np.ndarray, np.ndarray]] = []
@@ -373,21 +380,56 @@ def pave(
             next_parts.extend([first, second])
         parts = next_parts
         level_splits.append(records)
+        yield _certified(a, p, parts, original, level_splits)
 
+
+def _certified(a, p: float, parts: list[np.ndarray], original: float, level_splits: list) -> PavingResult:
+    """The paving at ``len(level_splits)`` levels, with its checked certificate."""
+    depth = len(level_splits)
     paved = np.zeros_like(a)
     for part in parts:
         if len(part):
             paved[np.ix_(part, part)] = a[np.ix_(part, part)]
-    original = schatten_norm(a, p)
     paved_norm = paving_norm(a, parts, p)
     bound = (1.0 - 2.0**-p) ** (depth / p) * original
-    if paved_norm > bound + _SLACK_TOL:
+    if paved_norm > bound * (1.0 + _SLACK_REL):
         raise ArithmeticError(
             f"paved norm {paved_norm!r} exceeds the certified bound {bound!r}; this is a bug"
         )
     partition = PavingPartition(parts, depth)
-    certificate = PavingCertificate(p, original, paved_norm, bound, level_splits)
+    certificate = PavingCertificate(p, original, paved_norm, bound, list(level_splits))
     return PavingResult(partition, paved, certificate)
+
+
+def pave(
+    a,
+    p,
+    depth: int | None = None,
+    epsilon: float | None = None,
+    strategy: str = "exhaustive",
+    spec: RandomSpec | None = None,
+) -> PavingResult:
+    """Recursive balanced halving of a zero-diagonal matrix, with certificate.
+
+    Exactly one of ``depth`` and ``epsilon`` must be given.  ``epsilon``
+    picks the depth ``ceil(log eps / log (1 - 2^-p)^(1/p))``, capped at
+    the depth where every part is a singleton (the paved matrix is then
+    exactly zero).  The returned partition has at most ``2^depth`` parts;
+    it is the last result of :func:`pave_levels`.
+    """
+    a, p = _check_pave_input(a, p)
+    if (depth is None) == (epsilon is None):
+        raise ValueError("give exactly one of depth or epsilon")
+    dim = a.shape[0]
+    singleton_depth = max(1, math.ceil(math.log2(dim))) if dim > 1 else 0
+    if epsilon is not None:
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        shrink = math.log(1.0 - 2.0**-p) / p
+        depth = min(math.ceil(math.log(epsilon) / shrink), singleton_depth)
+    for result in pave_levels(a, p, depth, strategy, spec):
+        pass
+    return result
 
 
 def partition_from_json(obj: dict) -> list[np.ndarray]:

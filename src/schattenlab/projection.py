@@ -213,18 +213,18 @@ def estimate_projection_norm(
             dense = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             d = extract_central_blocks(dense, n)
             denom = schatten_norm(dense, p)
-            ratio = blockdiag_schatten_norm(project_onto_lift(d), p) / denom
-            witness = project_onto_lift(d)
         else:
             blocks = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
             d = BlockDiag(blocks)
-            ratio = _ratio_blockdiag(d, p)
-            witness = project_onto_lift(d)
+            denom = blockdiag_schatten_norm(d, p)
+        witness = project_onto_lift(d)
+        projected = blockdiag_schatten_norm(witness, p)
+        ratio = 0.0 if denom == 0.0 else projected / denom
         if ratio > best:
             best, best_seed, best_blocks = float(ratio), sub.seed, d.blocks
         # the projected sample is a fixed point: ratio exactly 1
         if np.any(witness.blocks):
-            fixed = _ratio_blockdiag(witness, p)
+            fixed = blockdiag_schatten_norm(project_onto_lift(witness), p) / projected
             if fixed > best:
                 best, best_seed, best_blocks = float(fixed), sub.seed, witness.blocks
 

@@ -107,6 +107,20 @@ def test_paving_decay_rows(tmp_path):
     assert all(n <= b + 1e-9 for n, b in zip(norms, bounds))
 
 
+def test_paving_decay_scans_each_split_once(tmp_path, monkeypatch):
+    # a depth-3 curve on 8 indices splits 1 + 2 + 4 parts, one scan each
+    from schattenlab import _kernels_py
+
+    calls = []
+    scan = _kernels_py.balanced_subset_scan
+    monkeypatch.setattr(_kernels_py, "balanced_subset_scan", lambda a, p: calls.append(a.shape) or scan(a, p))
+    out = tmp_path / "decay.csv"
+    code = run(["paving-decay", "--size", "8", "--seed", "3", "--p", "4", "--depth", "3", "--out", str(out)])
+    assert code == 0
+    assert [int(r["depth"]) for r in read_csv(out)] == [1, 2, 3]
+    assert calls == [(8, 8)] + [(4, 4)] * 2 + [(2, 2)] * 4
+
+
 def test_norms_table(ones_off_diagonal_file, tmp_path):
     out = tmp_path / "norms.csv"
     code = run(["norms", "--input", ones_off_diagonal_file, "--p", "1.5", "--p", "2", "--p", "4", "--out", str(out)])

@@ -1,5 +1,8 @@
 """The NumPy enumeration kernels against SVD oracles and their contracts."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ def test_backend_selection_reports():
     assert _backend.kernels is _kernels_py
 
 
-@pytest.mark.parametrize("shape", [(4, 3), (10, 10)])
+@pytest.mark.parametrize("shape", [(4, 3), (10, 10), (3, 7)])
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 7.5])
 def test_ppower_batch_matches_svd(rng, p, shape):
     mats = np.stack([complex_gaussian(rng, *shape) for _ in range(50)])
@@ -83,3 +86,51 @@ def test_gram_side_selection(rng):
         mats = np.stack([complex_gaussian(rng, *shape) for _ in range(9)])
         expected = np.array([np.sum(np.linalg.svd(m, compute_uv=False) ** 4.0) for m in mats])
         np.testing.assert_allclose(_kernels_py.schatten_ppower_batch(mats, 4.0), expected, rtol=1e-11)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_even_p_needs_no_eigensolver(rng, p, monkeypatch):
+    # p = 2 and p = 4 are exact entry and Gram traces
+    mats = np.stack([complex_gaussian(rng, 3, 5) for _ in range(4)])
+    expected = _kernels_py.schatten_ppower_batch(mats, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called at even p")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    np.testing.assert_array_equal(_kernels_py.schatten_ppower_batch(mats, p), expected)
+    _kernels_py.balanced_subset_scan(complex_gaussian(rng, 6, 6), p)
+
+
+def _masked_scan_oracle(a, p):
+    """Balanced scan by SVD of every masked 2m x 2m cross part."""
+    dim = a.shape[0]
+    m = dim // 2
+    powers, sigmas = [], []
+    for rest in itertools.combinations(range(1, dim), m - 1):
+        side = np.zeros(dim, dtype=bool)
+        side[[0, *rest]] = True
+        cross = np.where(side[:, None] ^ side[None, :], a, 0.0)
+        powers.append(float(np.sum(np.linalg.svd(cross, compute_uv=False) ** p)))
+        sigmas.append((0, *rest))
+    best = int(np.argmax(powers))
+    return np.array(sigmas[best]), powers[best], math.fsum(powers) / len(powers), len(powers)
+
+
+@pytest.mark.parametrize("kind", ["zero-diagonal", "full", "real"])
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 10, 12])
+def test_balanced_scan_matches_masked_svd(rng, dim, p, kind):
+    # two m x m blocks per cross part give the masked 2m x 2m cross part's
+    # p-power, for every square matrix
+    a = complex_gaussian(rng, dim, dim)
+    if kind == "zero-diagonal":
+        np.fill_diagonal(a, 0.0)
+    elif kind == "real":
+        a = a.real
+    sigma, best, mean, count = _kernels_py.balanced_subset_scan(a, p)
+    o_sigma, o_best, o_mean, o_count = _masked_scan_oracle(a, p)
+    np.testing.assert_array_equal(sigma, o_sigma)
+    assert best == pytest.approx(o_best, rel=1e-12)
+    assert mean == pytest.approx(o_mean, rel=1e-12)
+    assert count == o_count

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from schattenlab import _kernels_py, paving
 from schattenlab.linalg import RandomSpec, random_matrix, schatten_norm
 from schattenlab.norms import clarkson_slack
 from schattenlab.paving import (
@@ -15,6 +16,7 @@ from schattenlab.paving import (
     find_balanced_split,
     partition_from_json,
     pave,
+    pave_levels,
     paving_norm,
     paving_split,
 )
@@ -307,6 +309,93 @@ class TestPave:
             pave(a, 4, epsilon=1.5)
         with pytest.raises(ValueError):
             pave(a, 1.5, depth=1)
+
+
+def assert_same_result(got, want):
+    assert got.partition.depth == want.partition.depth
+    assert len(got.partition.parts) == len(want.partition.parts)
+    for g, w in zip(got.partition.parts, want.partition.parts):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got.paved, want.paved)
+    gc, wc = got.certificate, want.certificate
+    assert (gc.p, gc.original_norm, gc.paved_norm, gc.guaranteed_bound) == (
+        wc.p, wc.original_norm, wc.paved_norm, wc.guaranteed_bound
+    )
+    assert len(gc.level_splits) == len(wc.level_splits)
+    for g_level, w_level in zip(gc.level_splits, wc.level_splits):
+        assert len(g_level) == len(w_level)
+        for (g_part, g_half), (w_part, w_half) in zip(g_level, w_level):
+            np.testing.assert_array_equal(g_part, w_part)
+            np.testing.assert_array_equal(g_half, w_half)
+
+
+class TestPaveLevels:
+    @pytest.mark.parametrize(
+        "strategy, spec", [("exhaustive", None), ("random", RandomSpec(4)), ("greedy", RandomSpec(6))]
+    )
+    def test_each_level_equals_pave_at_that_depth(self, rng, strategy, spec):
+        a = zero_diag(rng, 11)
+        levels = list(pave_levels(a, 3.0, 4, strategy=strategy, spec=spec))
+        assert [r.partition.depth for r in levels] == [0, 1, 2, 3, 4]
+        for depth, result in enumerate(levels):
+            assert_same_result(result, pave(a, 3.0, depth=depth, strategy=strategy, spec=spec))
+
+    def test_validates_before_iteration(self, rng):
+        with pytest.raises(ValueError, match="zero diagonal"):
+            pave_levels(complex_gaussian(rng, 4, 4), 4, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pave_levels(zero_diag(rng, 4), 4, -1)
+
+
+class TestScaleFreeChecks:
+    """Certified comparisons keep their verdicts under A -> cA."""
+
+    SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+    @pytest.fixture
+    def base(self):
+        return zero_diag(np.random.default_rng(8), 8)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_verdicts_do_not_depend_on_scale(self, base, scale):
+        p = 4.0
+        ref_split = find_balanced_split(base, p)
+        split = find_balanced_split(scale * base, p)
+        np.testing.assert_array_equal(split.sigma, ref_split.sigma)
+        assert split.v_power == pytest.approx(scale**p * ref_split.v_power, rel=1e-12)
+        ref_avg = balanced_subset_average(base, p)
+        assert balanced_subset_average(scale * base, p).average == pytest.approx(
+            scale**p * ref_avg.average, rel=1e-12
+        )
+        ref_pave = pave(base, p, depth=2)
+        result = pave(scale * base, p, depth=2)
+        for got, want in zip(result.partition.parts, ref_pave.partition.parts):
+            np.testing.assert_array_equal(got, want)
+        assert result.certificate.paved_norm == pytest.approx(scale * ref_pave.certificate.paved_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_planted_scan_undershoot_is_caught(self, base, scale, monkeypatch):
+        scan = _kernels_py.balanced_subset_scan
+
+        def undershoot(a, p):
+            sigma, best, mean, count = scan(a, p)
+            return sigma, 1e-3 * best, 1e-3 * mean, count
+
+        monkeypatch.setattr(_kernels_py, "balanced_subset_scan", undershoot)
+        with pytest.raises(ArithmeticError):
+            find_balanced_split(scale * base, 4.0)
+        with pytest.raises(ArithmeticError):
+            balanced_subset_average(scale * base, 4.0)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_planted_certificate_overshoot_is_caught(self, base, scale, monkeypatch):
+        # report a paved norm 1e-6 (relative) above the depth-1 bound
+        def overshoot(a, parts, p):
+            return (1.0 - 2.0**-p) ** (1.0 / p) * schatten_norm(a, p) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(paving, "paving_norm", overshoot)
+        with pytest.raises(ArithmeticError, match="certified bound"):
+            pave(scale * base, 4.0, depth=1)
 
 
 class TestPavingNorm:
