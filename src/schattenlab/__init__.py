@@ -28,6 +28,7 @@ from .linalg import (
     psd_trace_power,
     random_matrix,
     schatten_norm,
+    schatten_norms,
     schur_product,
     singular_values,
     substream,

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._backend import kernels
-from .linalg import as_matrix, matrix_from_json, matrix_to_json, numeric_rank, psd_trace_power, schatten_norm
+from .linalg import (
+    _validate_p,
+    as_matrix,
+    matrix_from_json,
+    matrix_to_json,
+    numeric_rank,
+    psd_trace_power,
+    schatten_norm,
+)
 
 #: Exhaustive sign-vector cap: at most 2**20 evaluations.
 EXHAUSTIVE_K_CAP = 20
@@ -74,9 +82,7 @@ class RankBoundReport:
 def sign_average_sum(ts, p, mode: str = "exhaustive", trials: int = 10_000, spec=None) -> float:
     """``Ave over sign vectors of ||sum_i e_i T_i||_p^p``."""
     stack = _as_stack(ts)
-    p = float(p)
-    if p < 1.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 1, got {p}")
+    p = _validate_p(p, finite=True)
     k = stack.shape[0]
     if mode == "exhaustive":
         if k > EXHAUSTIVE_K_CAP:
@@ -124,11 +130,9 @@ def psd_rank_bound(mats, p, constant: float | None = None) -> RankBoundReport:
     counterexample.
     """
     stack = _as_stack(mats)
-    p = float(p)
+    p = _validate_p(p, finite=True)
     if p == 2.0:
         raise ValueError("p = 2 has a singular exponent in the rank bound; it is excluded")
-    if p < 1.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 1, got {p}")
     k = stack.shape[0]
     traces = [psd_trace_power(m, p / 2.0) for m in stack]
     if p > 2.0:
@@ -176,7 +180,7 @@ def tight_embedding_audit(instance: EmbeddingInstance) -> RankBoundReport:
     preconditions apply.
     """
     stack = instance.ts
-    p = instance.p
+    p = _validate_p(instance.p, finite=True)
     if p == 2.0:
         raise ValueError("p = 2 has a singular exponent in the rank bound; it is excluded")
     k, n = stack.shape[0], stack.shape[1]

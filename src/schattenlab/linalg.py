@@ -72,10 +72,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _validate_p(p: float, minimum: float = 1.0) -> float:
+def _validate_p(p: float, minimum: float = 1.0, *, finite: bool = False) -> float:
+    """``float(p)`` if it is an exponent ``>= minimum``, else ``ValueError``.
+
+    NaN never passes; ``finite=True`` also rejects ``inf``.
+    """
     p = float(p)
-    if math.isnan(p) or p < minimum:
-        raise ValueError(f"exponent must satisfy p >= {minimum}, got {p}")
+    if math.isnan(p) or p < minimum or (finite and math.isinf(p)):
+        raise ValueError(f"need {'finite ' if finite else ''}p >= {minimum:g}, got {p}")
     return p
 
 
@@ -103,19 +107,36 @@ def schatten_norm(a, p) -> float:
     ``p = math.inf`` gives the operator norm (largest singular value);
     ``p = 2`` is the Frobenius norm, ``p = 1`` the trace norm.
     """
+    return schatten_norms(a, (p,))[0]
+
+
+def schatten_norms(a, ps) -> list[float]:
+    """Schatten norms of ``a`` at every exponent in ``ps``, in order.
+
+    Every exponent is validated before any work; the singular values are
+    computed at most once and serve all of them (``p = 2`` needs none).
+    Each value equals ``schatten_norm(a, p)`` bit for bit.
+    """
     a = as_matrix(a)
-    if math.isinf(p):
-        return float(np.max(singular_values(a)))
-    p = _validate_p(p)
-    if p == 2.0:
-        # Frobenius shortcut, exact and cheap.
-        return float(np.linalg.norm(a))
-    s = singular_values(a)
-    top = float(s[0])
-    if top == 0.0:
-        return 0.0
-    # factor out the largest value to avoid overflow at large p
-    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+    ps = [_validate_p(p) for p in ps]
+    out = []
+    s = None
+    for p in ps:
+        if p == 2.0:
+            # Frobenius shortcut, exact and cheap.
+            out.append(float(np.linalg.norm(a)))
+            continue
+        if s is None:
+            s = singular_values(a)
+        top = float(s[0])
+        if math.isinf(p):
+            out.append(float(np.max(s)))
+        elif top == 0.0:
+            out.append(0.0)
+        else:
+            # factor out the largest value to avoid overflow at large p
+            out.append(top * float(np.sum((s / top) ** p)) ** (1.0 / p))
+    return out
 
 
 def _check_hermitian(a: np.ndarray, tol: float) -> None:

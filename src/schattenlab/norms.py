@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, schatten_norm
+from .linalg import _validate_p, as_matrix, schatten_norm
 
 #: Smoothing of the row q-powers at zero (see ``z_tilde_lower``).
 SMOOTHING_MU = 1e-9
@@ -30,9 +30,7 @@ def z_norm(a, p) -> float:
     Finite p >= 1 only.
     """
     a = as_matrix(a)
-    p = float(p)
-    if math.isinf(p) or p < 1.0:
-        raise ValueError(f"z_norm needs finite p >= 1, got {p}")
+    p = _validate_p(p, finite=True)
     r = _row_l2(a)
     top = float(np.max(r))
     if top == 0.0:
@@ -44,7 +42,7 @@ def z_tilde_upper(a, p) -> float:
     """Two-sided row-norm combination ``(Z_p(A)^p + Z_p(A*)^p)^(1/p)``, p > 2."""
     a = as_matrix(a)
     p = float(p)
-    if not p > 2.0 or math.isinf(p):
+    if not 2.0 < p < math.inf:
         raise ValueError(f"two-sided upper form needs finite p > 2, got {p}")
     return float((z_norm(a, p) ** p + z_norm(a.conj().T, p) ** p) ** (1.0 / p))
 
@@ -72,12 +70,23 @@ def _split_objective(b: np.ndarray, c: np.ndarray, q: float) -> float:
     return float(np.sum(_row_l2(b) ** q) + np.sum(_row_l2(c.conj().T) ** q))
 
 
-def _smoothed(b: np.ndarray, a: np.ndarray, q: float, mu: float):
-    """Smoothed objective and its (Wirtinger) gradient in B."""
+def _smoothing_terms(b: np.ndarray, a: np.ndarray, q: float, mu: float):
+    """``(C, smoothed squared row norms of B, of C's columns, objective)``."""
     c = a - b
     row_sq = np.sum(np.abs(b) ** 2, axis=1) + mu * mu
     col_sq = np.sum(np.abs(c) ** 2, axis=0) + mu * mu
     f = float(np.sum(row_sq ** (q / 2.0)) + np.sum(col_sq ** (q / 2.0)))
+    return c, row_sq, col_sq, f
+
+
+def _smoothed_value(b: np.ndarray, a: np.ndarray, q: float, mu: float) -> float:
+    """Smoothed objective alone, all a line-search probe needs."""
+    return _smoothing_terms(b, a, q, mu)[3]
+
+
+def _smoothed(b: np.ndarray, a: np.ndarray, q: float, mu: float):
+    """Smoothed objective and its (Wirtinger) gradient in B."""
+    c, row_sq, col_sq, f = _smoothing_terms(b, a, q, mu)
     g = q * (row_sq ** (q / 2.0 - 1.0))[:, None] * b - q * (col_sq ** (q / 2.0 - 1.0))[None, :] * c
     return f, g
 
@@ -87,7 +96,9 @@ def _fista_stage(b, an, q: float, mu: float, tol: float, grad_tol: float, budget
 
     Returns ``(b, iterations_used, gradient_norm)``.  Ends on gradient
     tolerance, a 10-iteration stall of the relative objective decrease, or
-    the iteration budget.
+    the iteration budget.  Backtracking probes evaluate the objective
+    only; the gradient is taken once per iteration, at the next
+    extrapolated point (or at the restart point).
     """
     f_b, g = _smoothed(b, an, q, mu)
     y, f_y, g_y = b, f_b, g
@@ -103,7 +114,7 @@ def _fista_stage(b, an, q: float, mu: float, tol: float, grad_tol: float, budget
         # backtracking Armijo step from the extrapolated point
         while True:
             cand = y - step * g_y
-            f_cand, _ = _smoothed(cand, an, q, mu)
+            f_cand = _smoothed_value(cand, an, q, mu)
             if f_cand <= f_y - 0.5 * step * gnorm2 or step < 1e-20:
                 break
             step *= 0.5
@@ -192,9 +203,7 @@ def clarkson_slack(x, y, p) -> float:
     x, y = as_matrix(x), as_matrix(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    p = float(p)
-    if p < 2.0:
-        raise ValueError(f"uniform convexity inequality needs p >= 2, got {p}")
+    p = _validate_p(p, 2.0)
     lhs = (0.5 * (schatten_norm(x + y, p) ** p + schatten_norm(x - y, p) ** p)) ** (1.0 / p)
     pc = p / (p - 1.0)
     rhs = (schatten_norm(x, p) ** pc + schatten_norm(y, p) ** pc) ** ((p - 1.0) / p)

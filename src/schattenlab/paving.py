@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._backend import kernels
-from .linalg import RandomSpec, as_matrix, schatten_norm, substream
+from .linalg import RandomSpec, _validate_p, as_matrix, schatten_norm, substream
 
 #: Exhaustive bipartition scans are capped at 2m = 16 (12870 subsets).
 EXHAUSTIVE_M_CAP = 8
@@ -118,9 +118,7 @@ class BalancedAverageReport:
 def balanced_subset_average(a, p) -> BalancedAverageReport:
     """Average of ``||A_sigma||_p^p`` over all balanced subsets sigma."""
     a = as_matrix(a)
-    p = float(p)
-    if p < 2.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 2, got {p}")
+    p = _validate_p(p, 2.0, finite=True)
     m = _check_even_square(a)
     _check_zero_diagonal(a)
     if m > AVERAGE_M_CAP:
@@ -172,9 +170,7 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
     return a silently weaker sigma).
     """
     a = as_matrix(a)
-    p = float(p)
-    if p < 2.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 2, got {p}")
+    p = _validate_p(p, 2.0, finite=True)
     m = _check_even_square(a)
     _check_zero_diagonal(a)
     dim = 2 * m
@@ -305,9 +301,7 @@ def paving_norm(a, partition: PavingPartition | list, p) -> float:
     flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     if len(flat) != dim or len(np.unique(flat)) != dim or (len(flat) and (flat.min() < 0 or flat.max() >= dim)):
         raise ValueError("parts must be disjoint and cover every index")
-    p = float(p)
-    if p < 1.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 1, got {p}")
+    p = _validate_p(p, finite=True)
     total = 0.0
     for part in parts:
         if len(part):
@@ -332,9 +326,7 @@ def _split_block(a, part: np.ndarray, p: float, strategy: str, spec: RandomSpec 
 
 def _check_pave_input(a, p) -> tuple[np.ndarray, float]:
     a = as_matrix(a)
-    p = float(p)
-    if p < 2.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 2, got {p}")
+    p = _validate_p(p, 2.0, finite=True)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got {a.shape}")
     _check_zero_diagonal(a)

@@ -19,10 +19,12 @@ import numpy as np
 from ._backend import kernels
 from .linalg import (
     RandomSpec,
+    _validate_p,
     as_matrix,
     matrix_from_json,
     matrix_to_json,
     schatten_norm,
+    schatten_norms,
     substream,
 )
 from .norms import z_norm
@@ -106,12 +108,10 @@ def blockdiag_schatten_norm(d: BlockDiag, p) -> float:
     Equals ``(sum_i ||block_i||_p^p)^(1/p)`` for finite p and the max of
     the block operator norms at ``p = inf``.
     """
+    p = _validate_p(p)
     if math.isinf(p):
         w = np.linalg.eigvalsh(d.blocks @ d.blocks.conj().transpose(0, 2, 1))
         return float(np.sqrt(max(np.max(w), 0.0)))
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"need p >= 1, got {p}")
     return float(np.sum(kernels.schatten_ppower_batch(d.blocks, p)) ** (1.0 / p))
 
 
@@ -141,23 +141,26 @@ def project_onto_lift(d: BlockDiag) -> BlockDiag:
     return sign_block_lift(block_sign_average(d))
 
 
-def row_norm_projection_slack(b, n: int, p) -> float:
-    """Slack of the dense Schatten norm over the projected row norm.
+def row_norm_projection_slack(b, n: int, ps) -> list[float]:
+    """Slacks of the dense Schatten norm over the projected row norm.
 
-    Returns ``||B||_p - 2^(n^2/p) * Z_p(avg)`` where ``avg`` is the
-    sign-weighted mean of B's central blocks; nonnegative for every B
-    when p > 2 (this is the norm-one row-space projection bound).
+    Returns ``||B||_p - 2^(n^2/p) * Z_p(avg)`` for each exponent in ``ps``,
+    in order, where ``avg`` is the sign-weighted mean of B's central
+    blocks; nonnegative for every B when p > 2 (this is the norm-one
+    row-space projection bound).  All exponents are checked first, and
+    one SVD of B serves them all.
     """
     b = as_matrix(b)
-    p = float(p)
-    if not p > 2.0 or math.isinf(p):
-        raise ValueError(f"projection slack needs finite p > 2, got {p}")
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if not 2.0 < p < math.inf:
+            raise ValueError(f"projection slack needs finite p > 2, got {p}")
     if n > SLACK_MAX_N:
         raise ValueError(f"block size {n} above cap {SLACK_MAX_N} (dense SVD would be huge)")
     d = extract_central_blocks(b, n)
     _require_lift_shape(d)
     avg = block_sign_average(d)
-    return schatten_norm(b, p) - 2.0 ** (n * n / p) * z_norm(avg, p)
+    return [sn - 2.0 ** (n * n / p) * z_norm(avg, p) for p, sn in zip(ps, schatten_norms(b, ps))]
 
 
 @dataclass
@@ -195,9 +198,7 @@ def estimate_projection_norm(
     """
     if n < 1 or n > SLACK_MAX_N:
         raise ValueError(f"block size must be in [1, {SLACK_MAX_N}]")
-    p = float(p)
-    if p < 1.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 1, got {p}")
+    p = _validate_p(p, finite=True)
     if spec is None:
         spec = RandomSpec(0)
     count = 1 << (n * n)
@@ -222,11 +223,9 @@ def estimate_projection_norm(
         ratio = 0.0 if denom == 0.0 else projected / denom
         if ratio > best:
             best, best_seed, best_blocks = float(ratio), sub.seed, d.blocks
-        # the projected sample is a fixed point: ratio exactly 1
-        if np.any(witness.blocks):
-            fixed = blockdiag_schatten_norm(project_onto_lift(witness), p) / projected
-            if fixed > best:
-                best, best_seed, best_blocks = float(fixed), sub.seed, witness.blocks
+        # the projected sample is a fixed point: any nonzero one attains ratio 1
+        if best < 1.0 and np.any(witness.blocks):
+            best, best_seed, best_blocks = 1.0, sub.seed, witness.blocks
 
     # local random-perturbation ascent in block-diagonal space
     if best_blocks is not None and ascent_steps > 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from .linalg import RandomSpec, as_matrix, schatten_norm
+from .linalg import RandomSpec, _validate_p, as_matrix, schatten_norms
 from .norms import Decomposition, z_norm, z_tilde_lower, z_tilde_upper
 
 #: Exhaustive enumeration cap: at most 2**20 sign patterns.
@@ -67,9 +67,7 @@ def rademacher_average(
 ) -> AverageReport:
     """Average of ``||R o A||_p^p`` over independent sign flips of the entries."""
     a = as_matrix(a)
-    p = float(p)
-    if p < 1.0 or math.isinf(p):
-        raise ValueError(f"need finite p >= 1, got {p}")
+    p = _validate_p(p, finite=True)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     rows, cols = a.shape
@@ -95,18 +93,22 @@ def rademacher_average(
     return AverageReport(p, mode, trials, mean, mean ** (1.0 / p), stderr)
 
 
-def norm_domination_slacks(a, p) -> tuple[float, float]:
-    """Slack of the Schatten norm over the row-norm functionals, p > 2.
+def norm_domination_slacks(a, ps) -> list[tuple[float, float]]:
+    """Slacks of the Schatten norm over the row-norm functionals, p > 2.
 
-    Returns ``(||A||_p - Z_p(A), 2^(1/p) ||A||_p - ztilde_p(A))``; both are
-    nonnegative for every matrix.
+    Returns one ``(||A||_p - Z_p(A), 2^(1/p) ||A||_p - ztilde_p(A))`` pair
+    per exponent in ``ps``, in order; both are nonnegative for every
+    matrix.  All exponents are checked first, and one SVD serves them all.
     """
     a = as_matrix(a)
-    p = float(p)
-    if not p > 2.0 or math.isinf(p):
-        raise ValueError(f"domination slacks need finite p > 2, got {p}")
-    sn = schatten_norm(a, p)
-    return sn - z_norm(a, p), (2.0 ** (1.0 / p)) * sn - z_tilde_upper(a, p)
+    ps = [float(p) for p in ps]
+    for p in ps:
+        if not 2.0 < p < math.inf:
+            raise ValueError(f"domination slacks need finite p > 2, got {p}")
+    return [
+        (sn - z_norm(a, p), (2.0 ** (1.0 / p)) * sn - z_tilde_upper(a, p))
+        for p, sn in zip(ps, schatten_norms(a, ps))
+    ]
 
 
 @dataclass

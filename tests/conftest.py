@@ -20,3 +20,12 @@ def basis_matrix(rows, cols, k, l):
     e = np.zeros((rows, cols), dtype=complex)
     e[k, l] = 1.0
     return e
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to ``numpy.linalg.svd`` during the test."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(np.shape(a[0])) or svd(*a, **k))
+    return calls

@@ -121,6 +121,37 @@ def test_paving_decay_scans_each_split_once(tmp_path, monkeypatch):
     assert calls == [(8, 8)] + [(4, 4)] * 2 + [(2, 2)] * 4
 
 
+def test_norms_takes_one_svd_for_all_exponents(tmp_path, svd_calls):
+    out = tmp_path / "norms.csv"
+    ps = ["--p", "1.5", "--p", "3", "--p", "4", "--p", "6", "--p", "inf"]
+    assert run(["norms", "--size", "12", *ps, "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 5
+    assert svd_calls == [(12, 12)]
+
+
+def test_fact1_takes_one_svd_per_instance(tmp_path, svd_calls):
+    out = tmp_path / "fact1.csv"
+    ps = ["--p", "3", "--p", "4", "--p", "6"]
+    assert run(["fact1", "--size", "5", "--trials", "4", *ps, "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 12
+    assert svd_calls == [(5, 5)] * 4
+
+
+def test_projection_draws_each_dense_matrix_once(tmp_path, monkeypatch):
+    from schattenlab import projection
+
+    calls = []
+    slack = projection.row_norm_projection_slack
+    monkeypatch.setattr(
+        projection, "row_norm_projection_slack", lambda b, n, ps: calls.append(list(ps)) or slack(b, n, ps)
+    )
+    out = tmp_path / "projection.csv"
+    ps = ["--p", "2", "--p", "3", "--p", "4"]
+    assert run(["projection", "--n", "1", "--trials", "3", *ps, "--out", str(out)]) == 0
+    assert [r["min_row_norm_slack"] == "" for r in read_csv(out)] == [True, False, False]
+    assert calls == [[3.0, 4.0]] * 3
+
+
 def test_norms_table(ones_off_diagonal_file, tmp_path):
     out = tmp_path / "norms.csv"
     code = run(["norms", "--input", ones_off_diagonal_file, "--p", "1.5", "--p", "2", "--p", "4", "--out", str(out)])

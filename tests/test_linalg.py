@@ -14,6 +14,7 @@ from schattenlab.linalg import (
     psd_trace_power,
     random_matrix,
     schatten_norm,
+    schatten_norms,
     schur_product,
     singular_values,
     substream,
@@ -82,6 +83,35 @@ class TestSchattenNorm:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)
+
+
+class TestSchattenNorms:
+    PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
+
+    @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (5, 5), (1, 1), (1, 4)])
+    def test_bit_identical_to_single_p(self, rng, shape):
+        for a in (complex_gaussian(rng, *shape), np.zeros(shape), 1e-200 * complex_gaussian(rng, *shape)):
+            assert schatten_norms(a, self.PS) == [schatten_norm(a, p) for p in self.PS]
+
+    def test_order_and_repeats_follow_the_input(self, rng):
+        a = complex_gaussian(rng, 4, 6)
+        ps = (math.inf, 3.0, 2.0, 3.0, 1.0)
+        assert schatten_norms(a, ps) == [schatten_norm(a, p) for p in ps]
+        assert schatten_norms(a, ()) == []
+
+    def test_one_svd_for_all_exponents(self, rng, svd_calls):
+        a = complex_gaussian(rng, 6, 6)
+        schatten_norms(a, self.PS)
+        assert svd_calls == [(6, 6)]
+        schatten_norms(a, (2.0, 2.0))  # Frobenius needs no spectrum
+        assert svd_calls == [(6, 6)]
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan, -math.inf, -1.0])
+    def test_rejects_whole_list_before_any_svd(self, rng, svd_calls, bad):
+        a = complex_gaussian(rng, 4, 4)
+        with pytest.raises(ValueError, match="need p >= 1"):
+            schatten_norms(a, (3.0, 4.0, bad))
+        assert svd_calls == []
 
 
 class TestPsdTracePower:
@@ -244,3 +274,34 @@ def test_p_monotonicity(rng):
         a = complex_gaussian(rng, 4, 4)
         values = [schatten_norm(a, p) for p in (1.0, 1.5, 2.0, 3.0, 6.0, math.inf)]
         assert all(x >= y - 1e-10 for x, y in zip(values, values[1:]))
+
+
+def _nan_p_calls():
+    """One call per function that validates an exponent, at ``p``."""
+    from schattenlab import embedding, norms, paving, projection, signs
+
+    eye, zero_diag = np.eye(2), np.ones((4, 4)) - np.eye(4)
+    blocks = projection.BlockDiag(np.ones((1, 1, 1)))
+    return {
+        "schatten_norm": lambda p: schatten_norm(eye, p),
+        "schatten_norms": lambda p: schatten_norms(eye, (3.0, p)),
+        "z_norm": lambda p: norms.z_norm(eye, p),
+        "clarkson_slack": lambda p: norms.clarkson_slack(eye, eye, p),
+        "rademacher_average": lambda p: signs.rademacher_average(eye, p),
+        "blockdiag_schatten_norm": lambda p: projection.blockdiag_schatten_norm(blocks, p),
+        "estimate_projection_norm": lambda p: projection.estimate_projection_norm(1, p, trials=2),
+        "sign_average_sum": lambda p: embedding.sign_average_sum(eye[None], p),
+        "psd_rank_bound": lambda p: embedding.psd_rank_bound(eye[None], p),
+        "tight_embedding_audit": lambda p: embedding.tight_embedding_audit(embedding.EmbeddingInstance(eye[None], p)),
+        "paving_norm": lambda p: paving.paving_norm(zero_diag, [np.arange(4)], p),
+        "find_balanced_split": lambda p: paving.find_balanced_split(zero_diag, p),
+        "balanced_subset_average": lambda p: paving.balanced_subset_average(zero_diag, p),
+        "pave_levels": lambda p: paving.pave_levels(zero_diag, p, 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_p_calls()))
+def test_nan_exponent_raises(name):
+    call = _nan_p_calls()[name]
+    with pytest.raises(ValueError, match="got nan"):
+        call(math.nan)

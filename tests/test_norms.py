@@ -122,6 +122,32 @@ class TestZTildeLower:
         assert not dec.converged
         assert dec.iterations == 3
 
+    @pytest.mark.parametrize("q", [1.0, 1.2, 1.5, 1.8])
+    def test_one_gradient_per_iteration(self, rng, monkeypatch, q):
+        # one per iteration, plus one at each stage's start and exit
+        from schattenlab import norms
+
+        calls = []
+        smoothed = norms._smoothed
+        monkeypatch.setattr(norms, "_smoothed", lambda *args: calls.append(1) or smoothed(*args))
+        for shape in ((3, 3), (4, 6), (12, 12)):
+            calls.clear()
+            dec = z_tilde_lower(complex_gaussian(rng, *shape), q)
+            assert 0 < len(calls) <= dec.iterations + 2 * 4
+
+    def test_value_probes_match_full_evaluations(self, rng, monkeypatch):
+        # probing with the value alone leaves every iterate unchanged
+        from schattenlab import norms
+
+        cases = [(complex_gaussian(rng, 5, 7), q) for q in (1.0, 1.3, 1.7)]
+        fast = [z_tilde_lower(a, q) for a, q in cases]
+        monkeypatch.setattr(norms, "_smoothed_value", lambda *args: norms._smoothed(*args)[0])
+        for dec, (a, q) in zip(fast, cases):
+            ref = z_tilde_lower(a, q)
+            assert dec.objective == ref.objective and dec.iterations == ref.iterations
+            assert dec.gradient_norm == ref.gradient_norm
+            np.testing.assert_array_equal(dec.b, ref.b)
+
     def test_rejects_q_out_of_range(self):
         with pytest.raises(ValueError):
             z_tilde_lower(np.eye(2), 0.9)

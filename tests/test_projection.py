@@ -149,17 +149,17 @@ class TestProjection:
 class TestRowNormSlack:
     def test_lifted_scalar_is_equality(self, rng):
         b = assemble(sign_block_lift(np.array([[1.0]])))
-        for p in (2.5, 4.0):
-            assert row_norm_projection_slack(b, 1, p) == pytest.approx(0.0, abs=1e-12)
+        for slack in row_norm_projection_slack(b, 1, (2.5, 4.0)):
+            assert slack == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_matrix(self):
-        assert row_norm_projection_slack(np.zeros((2, 2)), 1, 4) == 0.0
+        assert row_norm_projection_slack(np.zeros((2, 2)), 1, (4,)) == [0.0]
 
     def test_nonnegative_on_random(self, rng):
-        for p in (2.5, 4.0, 6.0):
-            for _ in range(10):
-                b = complex_gaussian(rng, 32, 32)
-                assert row_norm_projection_slack(b, 2, p) >= -1e-9
+        for _ in range(30):
+            b = complex_gaussian(rng, 32, 32)
+            for slack in row_norm_projection_slack(b, 2, (2.5, 4.0, 6.0)):
+                assert slack >= -1e-9
 
     def test_norm_equivalence_floor(self, rng):
         # lifted norms dominate the two-sided row norm blockwise
@@ -172,11 +172,13 @@ class TestRowNormSlack:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            row_norm_projection_slack(complex_gaussian(rng, 30, 30), 2, 4)
+            row_norm_projection_slack(complex_gaussian(rng, 30, 30), 2, (4,))
 
-    def test_rejects_small_p(self, rng):
-        with pytest.raises(ValueError):
-            row_norm_projection_slack(complex_gaussian(rng, 32, 32), 2, 2.0)
+    def test_rejects_small_p(self, rng, svd_calls):
+        for ps in ((2.0,), (3.0, 2.0), (3.0, math.nan), (3.0, math.inf)):
+            with pytest.raises(ValueError):
+                row_norm_projection_slack(complex_gaussian(rng, 32, 32), 2, ps)
+        assert svd_calls == []
 
 
 class TestProjectionNormEstimate:

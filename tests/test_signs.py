@@ -136,15 +136,16 @@ def test_diagonal_sign_averaging_identity(rng):
 
 class TestNormDomination:
     def test_nonnegative_slacks(self, rng):
-        for p in (2.5, 3.0, 6.0):
-            for _ in range(10):
-                z_slack, zt_slack = norm_domination_slacks(complex_gaussian(rng, 4, 4), p)
+        for _ in range(30):
+            for z_slack, zt_slack in norm_domination_slacks(complex_gaussian(rng, 4, 4), (2.5, 3.0, 6.0)):
                 assert z_slack >= -1e-10
                 assert zt_slack >= -1e-10
 
-    def test_rejects_small_p(self):
-        with pytest.raises(ValueError):
-            norm_domination_slacks(np.eye(2), 2.0)
+    def test_rejects_small_p(self, svd_calls):
+        for ps in ((2.0,), (3.0, 2.0), (3.0, math.nan), (3.0, math.inf)):
+            with pytest.raises(ValueError):
+                norm_domination_slacks(np.eye(2), ps)
+        assert svd_calls == []
 
 
 class TestRatioReport:
