@@ -225,7 +225,7 @@ def _cmd_paving_find(args) -> list[dict]:
     for p in args.p:
         result = paving.find_balanced_split(a, p, strategy=args.strategy, spec=spec)
         u, _ = paving.paving_split(a, result.sigma)
-        original = linalg.schatten_norm(a, p)
+        original = result.norm
         rows.append(
             {
                 "seed": seed,

@@ -2,8 +2,8 @@
 
 ``z_norm`` is the ell_p norm of the vector of row ell_2 norms.  For
 p > 2 the two-sided variant combines the row norms of A and A*; for
-1 <= q < 2 it is an infimum over additive splits A = B + C, computed
-here by a first-order convex solver.  ``clarkson_slack`` evaluates the
+1 <= q < 2 it is an infimum over additive splits A = B + C, bracketed
+here by a primal-dual solver.  ``clarkson_slack`` evaluates the
 uniform-convexity inequality used by the paving construction.
 """
 
@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _validate_p, as_matrix, schatten_norm
-
-#: Smoothing of the row q-powers at zero (see ``z_tilde_lower``).
-SMOOTHING_MU = 1e-9
 
 
 def _row_l2(a: np.ndarray) -> np.ndarray:
@@ -49,12 +46,15 @@ def z_tilde_upper(a, p) -> float:
 
 @dataclass
 class Decomposition:
-    """Additive split ``A = B + C`` with the attained objective.
+    """Additive split ``A = B + C`` with a certified interval for z~_q(A).
 
     ``objective`` is ``(Z_q(B)^q + Z_q(C*)^q)^(1/q)`` for the returned
-    pair, an upper bound on the true infimum.  ``converged`` means the
-    smoothed gradient norm at exit (on the internally rescaled problem)
-    is at most ``grad_tol``.
+    pair, an upper bound on the true infimum.  ``lower_bound`` is
+    ``|<A, W>| / z~_p(W)`` for the returned dual witness ``w`` with
+    ``p = q/(q-1)`` (Hoelder over the row norms of B and the column norms
+    of C), so ``lower_bound <= z~_q(A) <= objective``.  ``gap`` is
+    ``(objective - lower_bound) / objective`` and ``converged`` means
+    ``gap <= tol``.
     """
 
     b: np.ndarray
@@ -62,103 +62,84 @@ class Decomposition:
     objective: float
     iterations: int
     converged: bool
-    gradient_norm: float
+    lower_bound: float
+    gap: float
+    w: np.ndarray
+
+
+def _l2(x: np.ndarray, axis: int) -> np.ndarray:
+    """Row (axis 1) or column (axis 0) l2 norms, with no ``|x|^2`` temporary.
+
+    ``z_norm`` keeps ``_row_l2``, so its values stay bit-identical.
+    """
+    f = np.ascontiguousarray(x).view(np.float64)
+    if axis == 1:
+        return np.sqrt(np.einsum("ij,ij->i", f, f))
+    return np.sqrt(np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1))
 
 
 def _split_objective(b: np.ndarray, c: np.ndarray, q: float) -> float:
-    """Unsmoothed objective ``sum_k ||B_k||^q + sum_l ||C(:,l)||^q``."""
-    return float(np.sum(_row_l2(b) ** q) + np.sum(_row_l2(c.conj().T) ** q))
+    """``(sum_k ||B_k||^q + sum_l ||C(:,l)||^q)^(1/q)``."""
+    return float(np.sum(_l2(b, 1) ** q) + np.sum(_l2(c, 0) ** q)) ** (1.0 / q)
 
 
-def _smoothing_terms(b: np.ndarray, a: np.ndarray, q: float, mu: float):
-    """``(C, smoothed squared row norms of B, of C's columns, objective)``."""
-    c = a - b
-    row_sq = np.sum(np.abs(b) ** 2, axis=1) + mu * mu
-    col_sq = np.sum(np.abs(c) ** 2, axis=0) + mu * mu
-    f = float(np.sum(row_sq ** (q / 2.0)) + np.sum(col_sq ** (q / 2.0)))
-    return c, row_sq, col_sq, f
+def _dual_bound(a: np.ndarray, w: np.ndarray, q: float) -> float:
+    """``|<A, W>| / z~_p(W)`` with ``p = q/(q-1)``, a lower bound on z~_q(A)."""
+    dual = max(_l2(w, 1).max(), _l2(w, 0).max()) if q == 1.0 else z_tilde_upper(w, q / (q - 1.0))
+    return float(abs(np.vdot(w, a)) / dual) if dual > 0.0 else 0.0
 
 
-def _smoothed_value(b: np.ndarray, a: np.ndarray, q: float, mu: float) -> float:
-    """Smoothed objective alone, all a line-search probe needs."""
-    return _smoothing_terms(b, a, q, mu)[3]
+def _prox_factor(s: np.ndarray, t: float, q: float) -> np.ndarray:
+    """Factor by which the prox of ``t ||x||^q`` scales vectors of length s.
 
-
-def _smoothed(b: np.ndarray, a: np.ndarray, q: float, mu: float):
-    """Smoothed objective and its (Wirtinger) gradient in B."""
-    c, row_sq, col_sq, f = _smoothing_terms(b, a, q, mu)
-    g = q * (row_sq ** (q / 2.0 - 1.0))[:, None] * b - q * (col_sq ** (q / 2.0 - 1.0))[None, :] * c
-    return f, g
-
-
-def _fista_stage(b, an, q: float, mu: float, tol: float, grad_tol: float, budget: int):
-    """Monotone accelerated descent at one smoothing level; warm-startable.
-
-    Returns ``(b, iterations_used, gradient_norm)``.  Ends on gradient
-    tolerance, a 10-iteration stall of the relative objective decrease, or
-    the iteration budget.  Backtracking probes evaluate the objective
-    only; the gradient is taken once per iteration, at the next
-    extrapolated point (or at the restart point).
+    At q = 1 this is soft thresholding.  For 1 < q < 2 the prox has the
+    length r that solves ``r + t q r^(q-1) = s``.  In ``u = ln r`` the
+    log of the left side is convex and increasing, with slope in
+    [q-1, 1], so Newton's method from the upper bound
+    ``min(s, (s/tq)^(1/(q-1)))`` falls monotonically to the root (Newton
+    in r from a lower bound takes hundreds of steps near q = 1).  It
+    stops once a step is below the rounding of that log.
     """
-    f_b, g = _smoothed(b, an, q, mu)
-    y, f_y, g_y = b, f_b, g
-    t_momentum = 1.0
-    step = 1.0
-    stall = 0
-    used = 0
-    while used < budget:
-        used += 1
-        gnorm2 = float(np.sum(np.abs(g_y) ** 2))
-        if math.sqrt(gnorm2) <= grad_tol:
-            return y, used, math.sqrt(gnorm2)
-        # backtracking Armijo step from the extrapolated point
-        while True:
-            cand = y - step * g_y
-            f_cand = _smoothed_value(cand, an, q, mu)
-            if f_cand <= f_y - 0.5 * step * gnorm2 or step < 1e-20:
-                break
-            step *= 0.5
-        if f_cand > f_b:
-            if step < 1e-18 and t_momentum == 1.0:
-                break  # no descent direction left at float precision
-            # momentum overshoot: restart from the best iterate
-            y, f_y = b, f_b
-            _, g_y = _smoothed(y, an, q, mu)
-            t_momentum = 1.0
-            continue
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-        y_next = cand + ((t_momentum - 1.0) / t_next) * (cand - b)
-        rel_drop = (f_b - f_cand) / max(f_cand, 1e-300)
-        b, f_b = cand, f_cand
-        y, t_momentum = y_next, t_next
-        f_y, g_y = _smoothed(y, an, q, mu)
-        step = min(step * 1.25, 1e6)
-        stall = stall + 1 if rel_drop <= tol else 0
-        if stall >= 10:
+    if q == 1.0:
+        return np.maximum(s - t, 0.0) / np.maximum(s, t)
+    out = np.zeros_like(s)
+    live = np.flatnonzero(s)
+    ls = np.log(s[live])
+    ltq = math.log(t * q)
+    u = np.minimum(ls, (ls - ltq) / (q - 1.0))
+    floor = 4.0 * np.finfo(float).eps / (q - 1.0) * (1.0 + np.abs(ls))
+    for _ in range(_NEWTON_STEPS):
+        e1, e2 = np.exp(u), np.exp(ltq + (q - 1.0) * u)
+        du = (np.log(e1 + e2) - ls) * (e1 + e2) / (e1 + (q - 1.0) * e2)
+        u -= du
+        if np.all(du <= floor):
             break
-    _, g_fin = _smoothed(b, an, q, mu)
-    return b, used, math.sqrt(float(np.sum(np.abs(g_fin) ** 2)))
+    out[live] = np.exp(u - ls)
+    return out
 
 
-def z_tilde_lower(
-    a,
-    q,
-    *,
-    tol: float = 1e-8,
-    grad_tol: float = 1e-6,
-    max_iters: int = 100_000,
-    mu: float = SMOOTHING_MU,
-) -> Decomposition:
+#: Cap on Newton steps in ``_prox_factor``; s in [1e-300, 1e3] and
+#: q in [1.0001, 1.9999] need at most 7.
+_NEWTON_STEPS = 50
+
+#: Chambolle-Pock steps sigma = 2, tau = 1/sigma (||K|| = 1 for K = I): the
+#: row prox (of tau f) and the column prox (of g/sigma) both step by 1/2.
+_STEP = 0.5
+
+
+def z_tilde_lower(a, q, *, tol: float = 1e-9, max_iters: int = 100_000) -> Decomposition:
     """Minimize ``(Z_q(B)^q + Z_q((A-B)*)^q)^(1/q)`` over B, 1 <= q < 2.
 
-    Accelerated first-order descent with backtracking on the mu-smoothed
-    objective, started at ``B = A/2``, with smoothing continuation (the
-    smoothing level shrinks in stages down to ``mu``, warm-starting each
-    stage) to cope with the kinks that appear as q approaches 1.  The
-    problem is convex, so a stationary point is global.  The input is
+    Primal-dual iteration of Chambolle and Pock ("A first-order
+    primal-dual algorithm for convex problems with applications to
+    imaging", J. Math. Imaging Vis. 40, 2011) on ``f(B) + g(A - B)``,
+    with ``f`` the row q-powers and ``g`` the column q-powers.  Each step
+    applies the prox of ``t ||x||^q`` to the rows of B, and to the
+    columns of ``A - B`` through the Moreau identity.  The input is
     rescaled to unit Frobenius norm internally, which makes the result
-    exactly 1-homogeneous in A.  Stops on stalled relative objective
-    decrease below ``tol`` (or ``max_iters``, returned with
+    exactly 1-homogeneous in A.  The dual iterate W certifies the lower
+    bound ``|<A, W>| / z~_p(W)``; the iteration stops once the relative
+    duality gap is at most ``tol`` (or after ``max_iters``, returned with
     ``converged=False``, never silently).
     """
     a = as_matrix(a)
@@ -168,25 +149,38 @@ def z_tilde_lower(
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         z = np.zeros_like(a)
-        return Decomposition(z, z.copy(), 0.0, 0, True, 0.0)
-    an = a / scale
+        return Decomposition(z, z.copy(), 0.0, 0, True, 0.0, 0.0, z.copy())
+    an = np.ascontiguousarray(a / scale)
 
-    stages = [lvl for lvl in (1e-2, 1e-4, 1e-6) if lvl > mu] + [mu]
+    # ws holds W/sigma, so the primal step's B - tau W is B - ws
     b = an / 2.0
+    b_bar = b.copy()
+    ws = np.zeros_like(an)
+    buf = np.empty_like(an)
     iterations = 0
-    gnorm = math.inf
-    for lvl in stages:
-        budget = max_iters - iterations
-        if budget <= 0:
+    for iterations in range(1, max_iters + 1):
+        # dual, by the Moreau identity: W = sigma (prox_{g/sigma}(D) - D) with
+        # D = A - W/sigma - B_bar, a rescaling of each column of D
+        np.subtract(an, ws, out=buf)
+        buf -= b_bar
+        np.multiply(buf, _prox_factor(_l2(buf, 0), _STEP, q) - 1.0, out=ws)
+        # primal: row prox at B - tau W, then the extrapolation 2 B_new - B
+        np.subtract(b, ws, out=buf)
+        buf *= _prox_factor(_l2(buf, 1), _STEP, q)[:, None]
+        np.subtract(buf, b, out=b_bar)
+        b_bar += buf
+        b, buf = buf, b
+        upper = _split_objective(b, an - b, q)
+        if upper - _dual_bound(an, ws, q) <= tol * upper:
             break
-        b, used, gnorm = _fista_stage(b, an, q, lvl, tol, grad_tol, budget)
-        iterations += used
-    converged = gnorm <= grad_tol and iterations < max_iters
 
     b_full = b * scale
     c_full = a - b_full
-    objective = _split_objective(b_full, c_full, q) ** (1.0 / q)
-    return Decomposition(b_full, c_full, float(objective), iterations, converged, gnorm)
+    objective = _split_objective(b_full, c_full, q)
+    # rounding can lift the bound an ulp past the attained value it never exceeds
+    lower = min(_dual_bound(a, ws, q), objective)
+    gap = (objective - lower) / objective
+    return Decomposition(b_full, c_full, objective, iterations, gap <= tol, lower, gap, ws)
 
 
 def clarkson_slack(x, y, p) -> float:

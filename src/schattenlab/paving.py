@@ -137,10 +137,13 @@ def balanced_subset_average(a, p) -> BalancedAverageReport:
 
 @dataclass
 class SplitSearchResult:
+    """A balanced sigma, its cross-part p-power and the input's Schatten p-norm."""
+
     sigma: np.ndarray
     v_power: float
     strategy: str
     samples: int
+    norm: float
 
     def to_json(self) -> dict:
         # indices are reported 1-based on the wire
@@ -174,7 +177,8 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
     m = _check_even_square(a)
     _check_zero_diagonal(a)
     dim = 2 * m
-    bar = 2.0**-p * schatten_norm(a, p) ** p * (1.0 - _SLACK_REL)
+    norm = schatten_norm(a, p)
+    bar = 2.0**-p * norm**p * (1.0 - _SLACK_REL)
 
     if strategy == "exhaustive":
         if m > EXHAUSTIVE_M_CAP:
@@ -184,7 +188,7 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
             raise ArithmeticError(
                 f"exhaustive maximizer {best!r} below the guaranteed bar {bar!r}; this is a bug"
             )
-        return SplitSearchResult(sigma, float(best), "exhaustive", count)
+        return SplitSearchResult(sigma, float(best), "exhaustive", count, norm)
     if strategy not in ("random", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if spec is None:
@@ -198,8 +202,8 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
             side[rng.permutation(dim)[:m]] = True
             power = float(_cross_ppowers(a, side[None], p)[0])
             if power >= bar:
-                return SplitSearchResult(np.flatnonzero(side), power, "random", sample)
-        return _fallback(a, p, m, bar, "random", budget)
+                return SplitSearchResult(np.flatnonzero(side), power, "random", sample, norm)
+        return _fallback(a, p, m, norm, bar, "random", budget)
 
     # greedy: steepest single-swap ascent from a random balanced start
     samples = 0
@@ -222,11 +226,11 @@ def find_balanced_split(a, p, strategy: str = "exhaustive", spec: RandomSpec | N
         if powers[j] > power:
             side, power, improved = cands[j], float(powers[j]), True
     if power >= bar:
-        return SplitSearchResult(np.flatnonzero(side), power, "greedy", samples)
-    return _fallback(a, p, m, bar, "greedy", samples)
+        return SplitSearchResult(np.flatnonzero(side), power, "greedy", samples, norm)
+    return _fallback(a, p, m, norm, bar, "greedy", samples)
 
 
-def _fallback(a, p, m, bar, tried: str, samples: int) -> SplitSearchResult:
+def _fallback(a, p, m, norm, bar, tried: str, samples: int) -> SplitSearchResult:
     if m > EXHAUSTIVE_M_CAP:
         raise RuntimeError(
             f"{tried} strategy failed to clear the bar within {samples} samples "
@@ -235,7 +239,7 @@ def _fallback(a, p, m, bar, tried: str, samples: int) -> SplitSearchResult:
     sigma, best, _, count = kernels.balanced_subset_scan(a, p)
     if best < bar:
         raise ArithmeticError(f"exhaustive fallback {best!r} below the bar {bar!r}; this is a bug")
-    return SplitSearchResult(sigma, float(best), f"{tried}+exhaustive-fallback", samples + count)
+    return SplitSearchResult(sigma, float(best), f"{tried}+exhaustive-fallback", samples + count, norm)
 
 
 @dataclass

@@ -176,16 +176,19 @@ def test_acceptance_5_projection():
 
 def test_acceptance_6_decomposition_solver():
     """Solver matches the closed form, beats sampling, certifies duality."""
+    tol = 1e-9
     e11 = basis_matrix(2, 2, 0, 0)
     for q in (1.0, 1.2, 1.5, 1.8):
-        dec = z_tilde_lower(e11, q)
+        dec = z_tilde_lower(e11, q, tol=tol)
         assert abs(dec.objective - 2.0 ** (1.0 / q - 1.0)) <= 1e-6
+        assert dec.gap <= tol
     base = RandomSpec(606)
     q = 1.5
     for trial in range(20):
         spec = substream(base, trial)
         a = random_matrix(spec, 3, 3)
-        dec = z_tilde_lower(a, q)
+        dec = z_tilde_lower(a, q, tol=tol)
+        assert dec.gap <= tol
         ts = substream(spec, 1).rng().random((10_000, 3, 3))
         rows = np.sqrt(np.sum(np.abs(ts * a) ** 2, axis=2))
         cols = np.sqrt(np.sum(np.abs((1.0 - ts) * a) ** 2, axis=1))
@@ -197,8 +200,10 @@ def test_acceptance_6_decomposition_solver():
         a = random_matrix(spec, 3, 3)
         b = random_matrix(substream(spec, 1), 3, 3)
         lhs = abs(trace_pairing(a, b))
-        assert lhs <= z_tilde_upper(a, p) * z_tilde_lower(b, qq).objective * (1.0 + 1e-6)
-    _report(6, "closed form within 1e-6, below the sampling oracle, 100 duality pairs certified")
+        dec = z_tilde_lower(b, qq, tol=tol)
+        assert dec.gap <= tol
+        assert lhs <= z_tilde_upper(a, p) * dec.objective * (1.0 + 1e-6)
+    _report(6, "closed form within 1e-6, below the sampling oracle, 100 duality pairs certified, every gap <= 1e-9")
 
 
 def test_acceptance_7_rank_bounds():

@@ -137,6 +137,15 @@ def test_fact1_takes_one_svd_per_instance(tmp_path, svd_calls):
     assert svd_calls == [(5, 5)] * 4
 
 
+def test_paving_find_decomposes_the_input_once_per_p(tmp_path, svd_calls):
+    # per p: the input's norm serves both the 2^-p bar and the table; one more for the paved matrix
+    out = tmp_path / "find.csv"
+    ps = ["--p", "3", "--p", "4"]
+    assert run(["paving-find", "--size", "16", "--strategy", "greedy", *ps, "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 2
+    assert svd_calls == [(16, 16)] * 4
+
+
 def test_projection_draws_each_dense_matrix_once(tmp_path, monkeypatch):
     from schattenlab import projection
 

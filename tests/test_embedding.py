@@ -212,6 +212,16 @@ class TestTightEmbeddingAudit:
             assert report.sign_average == sign_average_sum(ts, p)
             assert report.khintchine_slack == khintchine_easy_slack(ts, p)
 
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_khintchine_check_is_scale_free(self, rng, p):
+        # one matrix: the easy Khintchine direction is an equality at every scale
+        for c in (1.0, 1e3, 1e6, 1e9, 1e12):
+            for _ in range(50):
+                t = complex_gaussian(rng, 3, 3)
+                ts = (c / schatten_norm(t, p) * t)[None]
+                report = tight_embedding_audit(EmbeddingInstance(ts, p))
+                assert abs(report.khintchine_slack) <= 1e-12 * report.sign_average
+
     def test_norm_precondition_enforced(self, rng):
         ts = np.stack([0.5 * basis_matrix(3, 3, i, i) for i in range(3)])
         with pytest.raises(ValueError, match="Schatten"):
