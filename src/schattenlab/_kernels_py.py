@@ -19,6 +19,17 @@ block anti-diagonal, so ``||A_sigma||_p^p = ||A[P,Q]||_p^p +
 ||A[Q,P]||_p^p`` for every square A.  :func:`cross_blocks` gathers those
 two m x m blocks, and the subset scans evaluate them instead of the
 2m x 2m cross part.
+
+Flipping a whole row or column of a sign matrix R is a unitary change of
+``R o A``: ``D1 (R o A) D2 = (D1 R D2) o A`` for diagonal sign matrices
+``D1`` and ``D2``.  The ``2**(rows*cols)`` patterns therefore fall into
+orbits of ``2**(rows+cols-1)`` patterns (``D1 = D2 = -I`` fixes R) that
+share one p-power, and each orbit has exactly one pattern whose first
+row and first column are +1.  :func:`sign_enum_ppower_sum` evaluates
+those representatives and scales the sum by the orbit size, an exact
+power of 2.  Likewise ``e`` and ``-e`` give the same
+``||sum_i e_i T_i||_p``, so :func:`sign_vector_enum_ppower_sum` evaluates
+the sign vectors with ``e_0 = +1`` and doubles their sum.
 """
 
 from __future__ import annotations
@@ -91,37 +102,43 @@ def _check_bits(bits: int) -> None:
 def sign_enum_ppower_sum(a, p: float) -> float:
     """Sum of ``||R o A||_p^p`` over all sign matrices R of A's shape.
 
-    Patterns are taken in :func:`sign_rows` order.
+    Evaluates one representative per row/column-flip orbit: the
+    ``2**((rows-1)*(cols-1))`` patterns whose first row and first column
+    are +1, with the remaining entries in :func:`sign_rows` order over
+    those free bits.  Each orbit has ``2**(rows+cols-1)`` patterns.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     rows, cols = a.shape
-    bits = rows * cols
-    _check_bits(bits)
-    total = 1 << bits
+    _check_bits(rows * cols)
+    free = (rows - 1) * (cols - 1)
+    total = 1 << free
     parts = []
     for lo in range(0, total, _CHUNK):
-        signs = sign_rows(lo, min(lo + _CHUNK, total), bits)
-        mats = signs.reshape(-1, rows, cols) * a
-        parts.append(float(np.sum(_ppower_chunk(mats, p))))
-    return math.fsum(parts)
+        hi = min(lo + _CHUNK, total)
+        signs = np.ones((hi - lo, rows, cols))
+        signs[:, 1:, 1:] = sign_rows(lo, hi, free).reshape(hi - lo, rows - 1, cols - 1)
+        parts.append(float(np.sum(_ppower_chunk(signs * a, p))))
+    return math.ldexp(math.fsum(parts), rows + cols - 1)
 
 
 def sign_vector_enum_ppower_sum(ts, p: float) -> float:
     """Sum of ``||sum_i e_i T_i||_p^p`` over all sign vectors e in {+-1}^k.
 
-    Sign vectors are taken in :func:`sign_rows` order.
+    Evaluates the ``2**(k-1)`` vectors with ``e_0 = +1``, the remaining
+    entries in :func:`sign_rows` order; ``-e`` gives the same norm.
     """
     ts = np.ascontiguousarray(ts, dtype=np.complex128)
     k = ts.shape[0]
     _check_bits(k)
-    total = 1 << k
+    free = k - 1
+    total = 1 << free
     flat = ts.reshape(k, -1)
     parts = []
     for lo in range(0, total, _CHUNK):
-        eps = sign_rows(lo, min(lo + _CHUNK, total), k)
-        mats = (eps @ flat).reshape(-1, ts.shape[1], ts.shape[2])
+        eps = sign_rows(lo, min(lo + _CHUNK, total), free)
+        mats = (flat[0] + eps @ flat[1:]).reshape(-1, ts.shape[1], ts.shape[2])
         parts.append(float(np.sum(_ppower_chunk(mats, p))))
-    return math.fsum(parts)
+    return 2.0 * math.fsum(parts)
 
 
 def cross_blocks(a: np.ndarray, side: np.ndarray) -> np.ndarray:

@@ -21,6 +21,14 @@ def _row_l2(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
 
 
+def _lp(r: np.ndarray, p: float) -> float:
+    """ell_p norm of a nonnegative vector, taken relative to its largest entry."""
+    top = float(np.max(r))
+    if top == 0.0:
+        return 0.0
+    return top * float(np.sum((r / top) ** p)) ** (1.0 / p)
+
+
 def z_norm(a, p) -> float:
     """ell_p norm of the vector of row ell_2 norms.
 
@@ -28,20 +36,20 @@ def z_norm(a, p) -> float:
     """
     a = as_matrix(a)
     p = _validate_p(p, finite=True)
-    r = _row_l2(a)
-    top = float(np.max(r))
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((r / top) ** p)) ** (1.0 / p)
+    return _lp(_row_l2(a), p)
 
 
 def z_tilde_upper(a, p) -> float:
-    """Two-sided row-norm combination ``(Z_p(A)^p + Z_p(A*)^p)^(1/p)``, p > 2."""
+    """Two-sided row-norm combination ``(Z_p(A)^p + Z_p(A*)^p)^(1/p)``, p > 2.
+
+    The rows of A* are the conjugated columns of A, and conjugation keeps
+    entry moduli, so ``Z_p(A*)`` reads the rows of ``A.T`` with no copy.
+    """
     a = as_matrix(a)
     p = float(p)
     if not 2.0 < p < math.inf:
         raise ValueError(f"two-sided upper form needs finite p > 2, got {p}")
-    return float((z_norm(a, p) ** p + z_norm(a.conj().T, p) ** p) ** (1.0 / p))
+    return float((_lp(_row_l2(a), p) ** p + _lp(_row_l2(a.T), p) ** p) ** (1.0 / p))
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Sign matrices are enumerated in the canonical order of
 ``_kernels_py.sign_rows`` (little-endian, index 0 all-plus).  Exhaustive
-averages use this enumeration; Monte-Carlo averages draw seeded patterns
-and report the standard error of the p-power mean.
+averages are over every pattern; the kernel evaluates one pattern per
+row/column-flip orbit, which shares one p-power.  Monte-Carlo averages
+draw seeded patterns and report the standard error of the p-power mean.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ def rademacher_z_tilde_ratio(
     """
     a = as_matrix(a)
     p = float(p)
+    if not (2.0 < p < math.inf or 1.0 <= p < 2.0):
+        raise ValueError(f"two-sided norm is defined for finite p > 2 or 1 <= p < 2, got {p}")
     report = rademacher_average(a, p, mode=mode, trials=trials, spec=spec)
     solver = None
     if p > 2.0:
@@ -150,10 +153,8 @@ def rademacher_z_tilde_ratio(
                 f"one-sided sign-average bound violated: root={report.root!r} "
                 f"vs 2^(-1/p)*ztilde={2.0 ** (-1.0 / p) * zt!r}"
             )
-    elif 1.0 <= p < 2.0:
+    else:
         solver = z_tilde_lower(a, p)
         zt = solver.objective
-    else:
-        raise ValueError(f"two-sided norm is defined for p > 2 or 1 <= p < 2, got {p}")
     ratio = report.root / zt if zt > 0.0 else math.inf
     return RatioReport(report.root, float(zt), float(ratio), report, solver)

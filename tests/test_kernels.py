@@ -30,7 +30,8 @@ def test_ppower_batch_matches_svd(rng, p, shape):
 
 def test_sign_convention_shared(rng, monkeypatch):
     # one enumeration order: the helper, the pattern functions and both
-    # enumeration kernels see the same sign pattern at every index
+    # enumeration kernels see the same sign pattern at every index; the
+    # kernels see the orbit representatives, a subsequence of that order
     rows, cols = 2, 3
     bits = rows * cols
     helper = _kernels_py.sign_rows(0, 1 << bits, bits)
@@ -52,13 +53,89 @@ def test_sign_convention_shared(rng, monkeypatch):
     monkeypatch.setattr(_kernels_py, "_ppower_chunk", spy)
     a = complex_gaussian(rng, rows, cols)
     _kernels_py.sign_enum_ppower_sum(a, 3.0)
-    np.testing.assert_array_equal(np.concatenate(seen), patterns * a)
+    # first row and first column +1, the free entries in sign_rows order
+    free = (rows - 1) * (cols - 1)
+    reps = np.ones((1 << free, rows, cols))
+    reps[:, 1:, 1:] = _kernels_py.sign_rows(0, 1 << free, free).reshape(-1, rows - 1, cols - 1)
+    in_order = patterns[np.all(patterns[:, 0, :] == 1.0, axis=1) & np.all(patterns[:, :, 0] == 1.0, axis=1)]
+    np.testing.assert_array_equal(reps, in_order)
+    np.testing.assert_array_equal(np.concatenate(seen), reps * a)
 
     seen.clear()
     ts = np.stack([complex_gaussian(rng, 2, 2) for _ in range(bits)])
     _kernels_py.sign_vector_enum_ppower_sum(ts, 3.0)
-    expected = np.einsum("ek,kij->eij", helper, ts)
+    expected = np.einsum("ek,kij->eij", helper[helper[:, 0] == 1.0], ts)
     np.testing.assert_allclose(np.concatenate(seen), expected, rtol=1e-13, atol=1e-13)
+
+
+def test_one_pattern_per_orbit(rng, monkeypatch):
+    # 4 x 4: 2^9 orbit representatives of 2^16 patterns; k = 12: 2^11 of 2^12 vectors
+    counts = []
+    chunk = _kernels_py._ppower_chunk
+    monkeypatch.setattr(_kernels_py, "_ppower_chunk", lambda mats, p: counts.append(len(mats)) or chunk(mats, p))
+    _kernels_py.sign_enum_ppower_sum(complex_gaussian(rng, 4, 4), 3.0)
+    assert sum(counts) == 512
+    counts.clear()
+    _kernels_py.sign_vector_enum_ppower_sum(np.stack([complex_gaussian(rng, 2, 2) for _ in range(12)]), 3.0)
+    assert sum(counts) == 2048
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 3), (4, 4), (4, 5)])
+def test_sign_enum_even_p_closed_forms(rng, shape):
+    # sum over all 2^(rc) patterns: 2^(rc) ||A||_F^2 at p = 2 and
+    # 2^(rc) (Z_4(A)^4 + Z_4(A*)^4 - sum |a_ij|^4) at p = 4
+    a = complex_gaussian(rng, *shape)
+    mod2 = np.abs(a) ** 2
+    count = 2.0 ** a.size
+    assert _kernels_py.sign_enum_ppower_sum(a, 2.0) == pytest.approx(count * np.sum(mod2), rel=1e-13)
+    four = np.sum(np.sum(mod2, axis=1) ** 2) + np.sum(np.sum(mod2, axis=0) ** 2) - np.sum(mod2**2)
+    assert _kernels_py.sign_enum_ppower_sum(a, 4.0) == pytest.approx(count * four, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 12])
+def test_sign_vector_even_p_closed_forms(rng, k):
+    # p = 2: 2^k sum ||T_i||_F^2; p = 4: the pairing expansion
+    # sum_ij [tr(Ti*Ti Tj*Tj) + tr(Ti*Tj Ti*Tj) + tr(Ti*Tj Tj*Ti)] - 2 sum_i ||T_i||_4^4
+    ts = np.stack([complex_gaussian(rng, 3, 4) for _ in range(k)])
+    count = 2.0**k
+    frob = np.sum(np.abs(ts) ** 2)
+    assert _kernels_py.sign_vector_enum_ppower_sum(ts, 2.0) == pytest.approx(count * frob, rel=1e-13)
+    g = np.einsum("iab,jac->ijbc", ts.conj(), ts)  # G[i, j] = T_i* T_j
+    pairs = (
+        np.einsum("iibc,jjcb->", g, g) + np.einsum("ijbc,ijcb->", g, g) + np.einsum("ijbc,jicb->", g, g)
+    )
+    fourth = sum(np.sum(np.linalg.svd(t, compute_uv=False) ** 4) for t in ts)
+    expected = count * (pairs.real - 2.0 * fourth)
+    assert _kernels_py.sign_vector_enum_ppower_sum(ts, 4.0) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 6.0])
+def test_sign_enum_matches_full_enumeration(rng, shape, p):
+    # the orbit sum equals the sum over all 2^(rc) patterns
+    a = complex_gaussian(rng, *shape)
+    full = math.fsum(_kernels_py.schatten_ppower_batch(all_sign_patterns(*shape) * a, p))
+    assert _kernels_py.sign_enum_ppower_sum(a, p) == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_sign_vector_matches_full_enumeration(rng, k, p):
+    ts = np.stack([complex_gaussian(rng, 3, 3) for _ in range(k)])
+    eps = _kernels_py.sign_rows(0, 1 << k, k)
+    full = math.fsum(_kernels_py.schatten_ppower_batch(np.einsum("ek,kij->eij", eps, ts), p))
+    assert _kernels_py.sign_vector_enum_ppower_sum(ts, p) == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+def test_sign_enum_orbit_invariance(rng, p):
+    # a row/column flip D1 A D2 permutes the patterns, so the sum stays
+    a = complex_gaussian(rng, 3, 4)
+    base = _kernels_py.sign_enum_ppower_sum(a, p)
+    for _ in range(4):
+        d1 = rng.choice((-1.0, 1.0), size=(3, 1))
+        d2 = rng.choice((-1.0, 1.0), size=(1, 4))
+        assert _kernels_py.sign_enum_ppower_sum(d1 * a * d2, p) == pytest.approx(base, rel=1e-13)
 
 
 def test_sign_enum_refuses_huge(rng):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from schattenlab import norms
 from schattenlab.linalg import RandomSpec, random_matrix, schatten_norm, trace_pairing
 from schattenlab.norms import _prox_factor, clarkson_slack, z_norm, z_tilde_lower, z_tilde_upper
 
@@ -63,6 +64,20 @@ class TestZTildeUpper:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             z_tilde_upper(np.eye(2), 2.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 8), (64, 48)])
+    def test_one_validation_same_bits(self, rng, monkeypatch, shape, order):
+        # A* row norms are read from A.T without a conjugated copy; the
+        # values equal the two z_norm calls on A and A* bit for bit
+        a = np.asarray(complex_gaussian(rng, *shape), order=order)
+        ps = (2.5, 3.0, 4.0, 7.5)
+        expected = [float((z_norm(a, p) ** p + z_norm(a.conj().T, p) ** p) ** (1.0 / p)) for p in ps]
+        calls = []
+        as_matrix = norms.as_matrix
+        monkeypatch.setattr(norms, "as_matrix", lambda x: calls.append(1) or as_matrix(x))
+        assert [z_tilde_upper(a, p) for p in ps] == expected
+        assert len(calls) == len(ps)
 
 
 class TestZTildeLower:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from schattenlab import signs
 from schattenlab.linalg import RandomSpec
 from schattenlab.norms import z_norm
 from schattenlab.signs import (
@@ -171,7 +172,12 @@ class TestRatioReport:
         assert rep.z_tilde == pytest.approx(rep.solver.objective)
         assert rep.ratio > 0
 
-    def test_rejects_p_two(self, rng):
+    def test_rejects_p_two(self, rng, monkeypatch):
+        # refused before any enumeration
+        def refuse(*args, **kwargs):
+            raise AssertionError("sign average taken before the exponent check")
+
+        monkeypatch.setattr(signs.kernels, "sign_enum_ppower_sum", refuse)
         with pytest.raises(ValueError):
             rademacher_z_tilde_ratio(complex_gaussian(rng, 2, 2), 2.0)
 
